@@ -11,15 +11,21 @@ aggregate format ({"metrics": {"ns/op": {"min":..,"mean":..,"max":..}}}).
 Comparison is on min ns/op — the most repeatable statistic of a benchmark,
 immune to one-off scheduler hiccups in either snapshot.
 
+Benchmark names are compared without Go's "-P" GOMAXPROCS suffix
+(BenchmarkFoo-8 and BenchmarkFoo are the same benchmark), so snapshots
+recorded on hosts with different core counts line up.
+
 Exit status is non-zero iff any benchmark regresses beyond its FAIL
-threshold. Drift between the warn and fail thresholds prints a WARN line but
-does not fail the gate (benchmarks on shared CI runners jitter); speedups
-never fail. Per-benchmark thresholds: sub-10µs benchmarks get wider bands
+threshold or a baselined benchmark is missing from the current run (a
+renamed or deleted benchmark must not pass the gate silently). Drift
+between the warn and fail thresholds prints a WARN line but does not fail
+the gate (benchmarks on shared CI runners jitter); speedups never fail. Per-benchmark thresholds: sub-10µs benchmarks get wider bands
 (a single descheduling tick is a large relative error there), and OVERRIDES
 pins explicit bands for benchmarks known to be noisy.
 """
 import argparse
 import json
+import re
 import sys
 
 # Default regression thresholds on the current/baseline min-ns/op ratio.
@@ -43,8 +49,13 @@ OVERRIDES = {
 }
 
 
+# Go appends "-P" to a benchmark's name when GOMAXPROCS is P > 1.
+PROCS_SUFFIX = re.compile(r"-\d+$")
+
+
 def load(path):
-    """Return {(package, name): min ns/op} for either snapshot format."""
+    """Return {(package, name): min ns/op} for either snapshot format, with
+    the GOMAXPROCS suffix stripped from every name."""
     with open(path) as f:
         doc = json.load(f)
     out = {}
@@ -56,7 +67,8 @@ def load(path):
             val = float(m["min"])
         else:
             val = float(m)  # legacy single sample
-        out[(rec.get("package", ""), rec["name"])] = val
+        key = (rec.get("package", ""), PROCS_SUFFIX.sub("", rec["name"]))
+        out[key] = min(val, out.get(key, val))
     return out
 
 
@@ -82,8 +94,8 @@ def main():
     for key in sorted(base):
         pkg, name = key
         if key not in cur:
-            rows.append((name, "MISSING", "-", "benchmark absent from current run", "WARN"))
-            warnings += 1
+            rows.append((name, "MISSING", "-", "benchmark absent from current run", "FAIL"))
+            failures += 1
             continue
         b, c = base[key], cur[key]
         ratio = c / b if b > 0 else float("inf")
@@ -109,7 +121,7 @@ def main():
 
     print(f"\n{len(base)} baselined, {failures} fail, {warnings} warn, {improvements} improved")
     if failures:
-        print("bench-compare: FAIL — performance regressed beyond threshold", file=sys.stderr)
+        print("bench-compare: FAIL — a benchmark regressed beyond threshold or is missing", file=sys.stderr)
         return 1
     return 0
 
