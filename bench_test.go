@@ -148,7 +148,10 @@ func BenchmarkFig18InstructionMasking(b *testing.B) {
 
 func BenchmarkFig19MultiRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig19()
+		r, err := experiments.Fig19()
+		if err != nil {
+			b.Fatal(err)
+		}
 		if r.MultiRound.Speedup < 0.3 {
 			b.Fatal("Opt-#7 regression")
 		}
@@ -260,14 +263,20 @@ func BenchmarkWorkloadESP(b *testing.B) {
 }
 
 func BenchmarkSurfacePhenomenological(b *testing.B) {
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		surface.MonteCarloPhenomenological(3, 0.01, 0.01, 3, 200, int64(i))
+		if _, err := surface.MonteCarloPhenomenologicalCtx(ctx, 3, 0.01, 0.01, 3, 200, int64(i), simrun.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkUnionFindDecoder(b *testing.B) {
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		surface.MonteCarloUnionFind(5, 0.01, 200, int64(i))
+		if _, err := surface.MonteCarloUnionFindCtx(ctx, 5, 0.01, 200, int64(i), simrun.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ var logger = obs.Discard()
 func main() {
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = none)")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of tables (analyze, sweep, mc)")
-	workers := flag.Int("workers", 0, "parallel worker goroutines for MC/sweep runs (0 = all cores, 1 = serial; results are identical for every value)")
+	workers := flag.Int("workers", 0, "parallel worker goroutines for mc runs (0 = all cores, 1 = serial; results are identical for every value)")
 	traceOut := flag.String("trace-out", "", "record a span trace of the run and write it as Chrome trace_event JSON to this file")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")
 	logFormat := flag.String("log-format", "text", "log format: text|json")
@@ -89,7 +89,7 @@ func main() {
 
 	// -trace-out arms the span tracer for the whole run: a root "cli" span
 	// names the subcommand, and every traced layer underneath (sharded engine,
-	// scalability fan-out, checkpointing) hangs off it via the context.
+	// checkpointing) hangs off it via the context.
 	var tr *obs.Tracer
 	if *traceOut != "" {
 		tr = obs.NewTracer(obs.TracerConfig{ID: "qisim"})
@@ -127,12 +127,12 @@ func run(ctx context.Context, args []string, jsonOut bool, workers int) error {
 		}
 		return nil
 	case "analyze":
-		return analyze(ctx, args[1:], jsonOut, workers)
+		return analyze(ctx, args[1:], jsonOut)
 	case "sweep":
 		if len(args) < 3 {
 			return simerr.Invalidf("sweep requires a design name and at least one qubit count")
 		}
-		return sweep(ctx, args[1], args[2:], jsonOut, workers)
+		return sweep(ctx, args[1], args[2:], jsonOut)
 	case "mc":
 		return mc(ctx, args[1:], jsonOut, workers)
 	case "scorecard":
@@ -154,7 +154,7 @@ func run(ctx context.Context, args []string, jsonOut bool, workers int) error {
 
 // latticeCmd estimates a logical CNOT and a 1,000-round memory on a design.
 func latticeCmd(name, distStr string) error {
-	d, ok := findDesign(name)
+	d, ok := microarch.DesignByName(name)
 	if !ok {
 		return simerr.Invalidf("unknown design %q", name)
 	}
@@ -180,29 +180,21 @@ func latticeCmd(name, distStr string) error {
 	return nil
 }
 
-func analyze(ctx context.Context, names []string, jsonOut bool, workers int) error {
-	opt := scalability.DefaultOptions()
-	opt.Workers = workers
-	var as []scalability.Analysis
-	var status simrun.Status
-	if len(names) == 0 {
-		var err error
-		as, status, err = scalability.AnalyzeAllCtx(ctx, opt)
-		if err != nil {
-			return err
-		}
-	} else {
+func analyze(ctx context.Context, names []string, jsonOut bool) error {
+	ds := microarch.AllDesigns()
+	if len(names) > 0 {
+		ds = nil
 		for _, n := range names {
-			d, ok := findDesign(n)
+			d, ok := microarch.DesignByName(n)
 			if !ok {
 				return simerr.Invalidf("unknown design %q (see `qisim designs`)", n)
 			}
-			a, err := scalability.AnalyzeChecked(d, opt)
-			if err != nil {
-				return err
-			}
-			as = append(as, a)
+			ds = append(ds, d)
 		}
+	}
+	as, status, err := scalability.AnalyzeDesigns(ctx, ds, scalability.DefaultOptions())
+	if err != nil {
+		return err
 	}
 	if jsonOut {
 		if err := scalability.WriteJSON(os.Stdout, as); err != nil {
@@ -214,8 +206,8 @@ func analyze(ctx context.Context, names []string, jsonOut bool, workers int) err
 	return status.Err() // exit 3 with the partial table already printed
 }
 
-func sweep(ctx context.Context, name string, counts []string, jsonOut bool, workers int) error {
-	d, ok := findDesign(name)
+func sweep(ctx context.Context, name string, counts []string, jsonOut bool) error {
+	d, ok := microarch.DesignByName(name)
 	if !ok {
 		return simerr.Invalidf("unknown design %q", name)
 	}
@@ -227,9 +219,7 @@ func sweep(ctx context.Context, name string, counts []string, jsonOut bool, work
 		}
 		ns = append(ns, n)
 	}
-	opt := scalability.DefaultOptions()
-	opt.Workers = workers
-	res, err := scalability.SweepCtx(ctx, d, ns, opt)
+	res, err := scalability.SweepCtx(ctx, d, ns, scalability.DefaultOptions())
 	if err != nil {
 		return err
 	}
@@ -384,29 +374,21 @@ func emitJSON(v any) error {
 	return enc.Encode(v)
 }
 
-func findDesign(name string) (microarch.Design, bool) {
-	for _, d := range microarch.AllDesigns() {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return microarch.Design{}, false
-}
-
 func usage() {
 	fmt.Fprintln(os.Stderr, `qisim — QCI scalability analysis (QIsim reproduction)
 
-  qisim [-timeout d] [-json] [-workers n] designs             list the named design points
-  qisim [-timeout d] [-json] [-workers n] analyze [name ...]  analyze designs (default: all)
-  qisim [-timeout d] [-json] [-workers n] sweep <name> <N ...> per-stage utilisation at qubit counts
-  qisim [-timeout d] [-json] [-workers n] mc [flags]          phenomenological MC decoder run
+  qisim [-timeout d] [-json] designs                         list the named design points
+  qisim [-timeout d] [-json] analyze [name ...]              analyze designs (default: all)
+  qisim [-timeout d] [-json] sweep <name> <N ...>            per-stage utilisation at qubit counts
+  qisim [-timeout d] [-json] [-workers n] mc [flags]         phenomenological MC decoder run
   qisim scorecard                                reproduction headlines vs the paper
   qisim lattice <design> <d>                     logical CNOT/memory estimate on a design
 
--workers fans Monte-Carlo and sweep work out across n goroutines (0 = all
-cores, 1 = serial); deterministic sharded RNG makes the result bit-identical
-for every worker count. SIGINT or -timeout cancels cooperatively: partial
-results are printed (flagged truncated in -json) and the exit code is 3.
+-workers is for mc only: it fans the Monte-Carlo shots out across n
+goroutines (0 = all cores, 1 = serial); deterministic sharded RNG makes the
+result bit-identical for every worker count. analyze and sweep are plain
+loops. SIGINT or -timeout cancels cooperatively: partial results are
+printed (flagged truncated in -json) and the exit code is 3.
 mc -checkpoint-dir persists crash-safe snapshots of the committed shard
 prefix (flushed once more on ^C); mc -resume restarts from that snapshot and
 produces output byte-identical to an uninterrupted run. Inspect snapshots

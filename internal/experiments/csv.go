@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -35,19 +36,16 @@ func FigureCSV(id string) (string, error) {
 	var b strings.Builder
 	b.WriteString("design,qubits,util_4k,util_100mk,util_20mk,logical_error,target,feasible\n")
 	for _, name := range names {
-		var design microarch.Design
-		found := false
-		for _, d := range microarch.AllDesigns() {
-			if d.Name == name {
-				design, found = d, true
-			}
-		}
-		if !found {
+		design, ok := microarch.DesignByName(name)
+		if !ok {
 			return "", fmt.Errorf("experiments: unknown design %q", name)
 		}
 		a := scalability.Analyze(design, opt)
-		counts := sweepPoints(a.MaxQubits)
-		for _, p := range scalability.Sweep(design, counts, opt) {
+		res, err := scalability.SweepCtx(context.Background(), design, sweepPoints(a.MaxQubits), opt)
+		if err != nil {
+			return "", err
+		}
+		for _, p := range res.Points {
 			fmt.Fprintf(&b, "%s,%d,%.6g,%.6g,%.6g,%.6g,%.6g,%v\n",
 				name, p.Qubits,
 				p.Utilization[wiring.Stage4K],

@@ -115,10 +115,8 @@ func dsePointArgs(p dse.Point) (microarch.Design, float64, scalability.Options, 
 	if dist, ok := p.Coords["distance"].(float64); ok {
 		opt.Distance = int(dist)
 	}
-	for _, d := range microarch.AllDesigns() {
-		if d.Name == name {
-			return d, extra, opt, nil
-		}
+	if d, ok := microarch.DesignByName(name); ok {
+		return d, extra, opt, nil
 	}
 	return microarch.Design{}, 0, opt, simerr.Invalidf("experiments: unknown design %q", name)
 }

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"qisim/internal/readout"
 	"qisim/internal/scalability"
 	"qisim/internal/sfq"
+	"qisim/internal/simrun"
 	"qisim/internal/validate"
 	"qisim/internal/wiring"
 	"qisim/internal/workloads"
@@ -69,7 +71,8 @@ func Run(id string) (string, error) {
 	case "fig18":
 		return Fig18().Report, nil
 	case "fig19":
-		return Fig19().Report, nil
+		r, err := Fig19()
+		return r.Report, err
 	case "fig20":
 		return Fig20().Report, nil
 	case "table3":
@@ -119,13 +122,10 @@ func Table2() string {
 }
 
 func analyses(names ...string) []scalability.Analysis {
-	all := scalability.AnalyzeAll(scalability.DefaultOptions())
 	var out []scalability.Analysis
 	for _, n := range names {
-		for _, a := range all {
-			if a.Design.Name == n {
-				out = append(out, a)
-			}
+		if d, ok := microarch.DesignByName(n); ok {
+			out = append(out, scalability.Analyze(d, scalability.DefaultOptions()))
 		}
 	}
 	return out
@@ -317,12 +317,16 @@ type Fig19Result struct {
 }
 
 // Fig19 reports the decision-method errors and the multi-round speedup.
-func Fig19() Fig19Result {
+func Fig19() (Fig19Result, error) {
 	c, tm := readout.DefaultChain(), readout.DefaultTiming()
 	var r Fig19Result
 	r.BinError = readout.BinCountingError(c, tm, 8)
 	r.SingleError = readout.SinglePointError(c, tm, 8)
-	r.MultiRound = readout.MultiRoundError(c, tm, readout.DefaultMultiRoundConfig())
+	mr, err := readout.MultiRoundErrorCtx(context.Background(), c, tm, readout.DefaultMultiRoundConfig(), simrun.Options{})
+	if err != nil {
+		return Fig19Result{}, fmt.Errorf("experiments: fig19: %w", err)
+	}
+	r.MultiRound = mr
 	var b strings.Builder
 	b.WriteString("== Fig. 19 — Opt-#7 fast multi-round readout ==\n")
 	fmt.Fprintf(&b, "%-22s %12s %12s\n", "method", "error", "readout")
@@ -333,7 +337,7 @@ func Fig19() Fig19Result {
 	fmt.Fprintf(&b, "3-round accuracy: %.2f%% within %.0f ns (paper: 98.6%% within 267 ns)\n",
 		100*(1-readout.BinCountingError(c, tm, 3)), tm.TotalTime(3)*1e9)
 	r.Report = b.String()
-	return r
+	return r, nil
 }
 
 // Fig20Result carries the Opt-#8 fast-driving numbers.

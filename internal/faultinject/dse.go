@@ -21,16 +21,6 @@ import (
 	"qisim/internal/simrun"
 )
 
-// findDesignByName resolves a microarchitecture design by its public name.
-func findDesignByName(name string) (microarch.Design, bool) {
-	for _, d := range microarch.AllDesigns() {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return microarch.Design{}, false
-}
-
 // dseScenarios injects faults into the design-space exploration layer: a
 // parent sweep canceled mid-fan-out, pruning racing dispatch, and a
 // coordinator crash between waves. The contracts under test: cancellation
@@ -184,7 +174,7 @@ func runDominatedPointPruned() Outcome {
 			dispatched[p.Index] = true
 			name, _ := p.Coords["design"].(string)
 			extra, _ := p.Coords["extra_gate_error"].(float64)
-			d, ok := findDesignByName(name)
+			d, ok := microarch.DesignByName(name)
 			if !ok {
 				return nil, fmt.Errorf("unknown design %q", name)
 			}
@@ -199,7 +189,7 @@ func runDominatedPointPruned() Outcome {
 	bound := func(p dse.Point) map[string]float64 {
 		name, _ := p.Coords["design"].(string)
 		extra, _ := p.Coords["extra_gate_error"].(float64)
-		d, ok := findDesignByName(name)
+		d, ok := microarch.DesignByName(name)
 		if !ok {
 			return nil
 		}

@@ -243,7 +243,8 @@ func Scenarios() []Scenario {
 		},
 		{
 			// (c') The same exhaustion inside a scalability sweep: the
-			// points already computed must survive, flagged Truncated.
+			// points already computed (the first, which runs before the
+			// context is polled) must survive, flagged Truncated.
 			Name:          "canceled-scalability-sweep",
 			WantTruncated: true,
 			Run: func() Outcome {
@@ -348,8 +349,8 @@ func Scenarios() []Scenario {
 			Run: func() Outcome {
 				opt := scalability.DefaultOptions()
 				opt.Distance = 4 // the injected fault
-				_, err := scalability.AnalyzeChecked(microarch.AllDesigns()[0], opt)
-				return Outcome{Err: err, Detail: "even distance into AnalyzeChecked"}
+				_, _, err := scalability.AnalyzeDesigns(context.Background(), microarch.AllDesigns(), opt)
+				return Outcome{Err: err, Detail: "even distance into AnalyzeDesigns"}
 			},
 		},
 		{

@@ -1,12 +1,14 @@
 package pauli
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"qisim/internal/compile"
 	"qisim/internal/cyclesim"
 	"qisim/internal/qasm"
+	"qisim/internal/simrun"
 )
 
 func simulate(t *testing.T, src string) *cyclesim.Result {
@@ -86,6 +88,17 @@ func TestIdleQubitsDecohere(t *testing.T) {
 	}
 }
 
+// monteCarlo runs the Pauli-event MC with default options and fails the
+// test on an error.
+func monteCarlo(t *testing.T, res *cyclesim.Result, cfg Config) float64 {
+	t.Helper()
+	mc, err := MonteCarloCtx(context.Background(), res, cfg, simrun.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mc.Fidelity
+}
+
 func TestMonteCarloAgreesWithESP(t *testing.T) {
 	res := simulate(t, `qreg q[4]; creg c[4];
 h q[0]; cx q[0],q[1]; cx q[1],q[2]; cx q[2],q[3];
@@ -93,7 +106,7 @@ measure q[0]->c[0]; measure q[1]->c[1]; measure q[2]->c[2]; measure q[3]->c[3];`
 	cfg := DefaultConfig(ibmishRates())
 	cfg.Shots = 60000
 	esp := ESP(res, cfg)
-	mc := MonteCarlo(res, cfg)
+	mc := monteCarlo(t, res, cfg)
 	if math.Abs(esp-mc) > 0.01 {
 		t.Fatalf("MC %v vs ESP %v disagree beyond MC noise", mc, esp)
 	}
@@ -103,7 +116,7 @@ func TestMonteCarloDeterministic(t *testing.T) {
 	res := simulate(t, "qreg q[1]; creg c[1]; h q[0]; measure q[0]->c[0];")
 	cfg := DefaultConfig(ibmishRates())
 	cfg.Shots = 5000
-	if MonteCarlo(res, cfg) != MonteCarlo(res, cfg) {
+	if monteCarlo(t, res, cfg) != monteCarlo(t, res, cfg) {
 		t.Fatal("seeded MC must be deterministic")
 	}
 }

@@ -29,33 +29,13 @@ func AnalyzePointChecked(d microarch.Design, extraGateError float64, opt Options
 	if err := checkPointArgs(extraGateError, opt); err != nil {
 		return nil, err
 	}
-	pb := d.PerQubitPower()
-	maxQ := math.Inf(1)
-	for st, budget := range opt.Budgets {
-		w := pb.StageW[st]
-		if w <= 0 {
-			continue
-		}
-		if lim := budget / w; lim < maxQ {
-			maxQ = lim
-		}
+	a, pb := analyze(d, extraGateError, opt)
+	if err := checkSound(a); err != nil {
+		return nil, err
 	}
-	pl := d.LogicalError(extraGateError)
-	errLimit := opt.Targets.MaxPhysicalQubits(pl, opt.Distance)
-	if errLimit < maxQ {
-		maxQ = errLimit
-	}
-	if math.IsNaN(pl) || math.IsNaN(maxQ) {
-		return nil, simerr.Numericalf("scalability: NaN analyzing point %q (p_L %v, max qubits %v)", d.Name, pl, maxQ)
-	}
-	return map[string]float64{
-		MetricMaxQubits:    clampInf(maxQ),
-		MetricLogicalError: pl,
-		MetricPower4K:      pb.StageW[wiring.Stage4K],
-		MetricPower100mK:   pb.StageW[wiring.Stage100mK],
-		MetricPower20mK:    pb.StageW[wiring.Stage20mK],
-		MetricErrorLimit:   clampInf(errLimit),
-	}, nil
+	m := pointMetrics(a, pb)
+	m[MetricErrorLimit] = clampInf(a.ErrorLimit)
+	return m, nil
 }
 
 // PointBound returns optimistic metrics for the same point: every value is
@@ -66,20 +46,17 @@ func AnalyzePointChecked(d microarch.Design, extraGateError float64, opt Options
 // sweep can evaluate without dispatching a child job. Power and logical
 // error are cheap and exact, which makes the bound tight on those axes.
 func PointBound(d microarch.Design, extraGateError float64, opt Options) map[string]float64 {
-	pb := d.PerQubitPower()
-	maxQ := math.Inf(1)
-	for st, budget := range opt.Budgets {
-		w := pb.StageW[st]
-		if w <= 0 {
-			continue
-		}
-		if lim := budget / w; lim < maxQ {
-			maxQ = lim
-		}
-	}
+	a, pb := powerLimit(d, opt)
+	a.LogicalError = d.LogicalError(extraGateError)
+	return pointMetrics(a, pb)
+}
+
+// pointMetrics flattens an analysis into the metric map both point calls
+// share.
+func pointMetrics(a Analysis, pb microarch.PowerBreakdown) map[string]float64 {
 	return map[string]float64{
-		MetricMaxQubits:    clampInf(maxQ),
-		MetricLogicalError: d.LogicalError(extraGateError),
+		MetricMaxQubits:    clampInf(a.MaxQubits),
+		MetricLogicalError: a.LogicalError,
 		MetricPower4K:      pb.StageW[wiring.Stage4K],
 		MetricPower100mK:   pb.StageW[wiring.Stage100mK],
 		MetricPower20mK:    pb.StageW[wiring.Stage20mK],

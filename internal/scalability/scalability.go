@@ -14,7 +14,6 @@ import (
 
 	"qisim/internal/cryo"
 	"qisim/internal/microarch"
-	"qisim/internal/obs"
 	"qisim/internal/simerr"
 	"qisim/internal/simrun"
 	"qisim/internal/surface"
@@ -70,14 +69,6 @@ type Options struct {
 	Budgets  cryo.Budgets
 	Targets  surface.TargetModel
 	Distance int
-	// Workers parallelises AnalyzeAllCtx and SweepCtx across design points /
-	// sweep samples (0 = GOMAXPROCS, 1 = serial). Results are bit-identical
-	// for every worker count: points merge in index order.
-	Workers int
-	// Progress mirrors simrun.Options.Progress for the design-point / sweep
-	// fan-out: called with (points committed, points requested) as the
-	// in-order merge frontier advances. Observational only.
-	Progress func(completed, requested int)
 }
 
 // DefaultOptions returns the Table 2 budgets, Jellium targets and d = 23.
@@ -95,14 +86,38 @@ func ExtendedOptions() Options {
 
 // Analyze evaluates one design point.
 func Analyze(d microarch.Design, opt Options) Analysis {
+	a, _ := analyze(d, 0, opt)
+	return a
+}
+
+// analyze is the one scalability core: the power-limited qubit count of
+// every budgeted stage, then the logical-error crossing with extraGateError
+// added to every gate. It also returns the design's per-qubit power, which
+// covers stages the budgets leave out.
+func analyze(d microarch.Design, extraGateError float64, opt Options) (Analysis, microarch.PowerBreakdown) {
+	a, pb := powerLimit(d, opt)
+	a.LogicalError = d.LogicalError(extraGateError)
+	a.ErrorLimit = opt.Targets.MaxPhysicalQubits(a.LogicalError, opt.Distance)
+	if a.ErrorLimit < a.MaxQubits {
+		a.MaxQubits = a.ErrorLimit
+		a.Binding = LogicalErr
+	}
+	near := opt.Targets.Target(1) // one logical qubit, Jellium N=2 floor
+	a.MeetsNearTerm = a.LogicalError <= near
+	return a, pb
+}
+
+// powerLimit is the power half of analyze: per-stage power, per-stage qubit
+// limits, and MaxQubits/Binding over the stages alone.
+func powerLimit(d microarch.Design, opt Options) (Analysis, microarch.PowerBreakdown) {
 	a := Analysis{
 		Design:     d,
 		PerQubit:   map[wiring.Stage]float64{},
 		StageLimit: map[wiring.Stage]float64{},
+		MaxQubits:  math.Inf(1),
+		Binding:    Unbounded,
 	}
 	pb := d.PerQubitPower()
-	a.MaxQubits = math.Inf(1)
-	a.Binding = Unbounded
 	for st, budget := range opt.Budgets {
 		w := pb.StageW[st]
 		a.PerQubit[st] = w
@@ -117,30 +132,17 @@ func Analyze(d microarch.Design, opt Options) Analysis {
 			a.Binding = stageConstraint(st)
 		}
 	}
-	a.LogicalError = d.LogicalError(0)
-	a.ErrorLimit = opt.Targets.MaxPhysicalQubits(a.LogicalError, opt.Distance)
-	if a.ErrorLimit < a.MaxQubits {
-		a.MaxQubits = a.ErrorLimit
-		a.Binding = LogicalErr
-	}
-	near := opt.Targets.Target(1) // one logical qubit, Jellium N=2 floor
-	a.MeetsNearTerm = a.LogicalError <= near
-	return a
+	return a, pb
 }
 
-// AnalyzeChecked is the erroring boundary for Analyze: it validates the
-// options and verifies the analysis is numerically sound (no NaN leaking out
-// of the power or error models) before returning it.
-func AnalyzeChecked(d microarch.Design, opt Options) (Analysis, error) {
-	if err := checkOptions(opt); err != nil {
-		return Analysis{}, err
-	}
-	a := Analyze(d, opt)
+// checkSound rejects an analysis with a NaN leaking out of the power or
+// error models.
+func checkSound(a Analysis) error {
 	if math.IsNaN(a.LogicalError) || math.IsNaN(a.MaxQubits) {
-		return Analysis{}, simerr.Numericalf("scalability: NaN in analysis of %q (p_L %v, max qubits %v)",
-			d.Name, a.LogicalError, a.MaxQubits)
+		return simerr.Numericalf("scalability: NaN in analysis of %q (p_L %v, max qubits %v)",
+			a.Design.Name, a.LogicalError, a.MaxQubits)
 	}
-	return a, nil
+	return nil
 }
 
 func checkOptions(opt Options) error {
@@ -158,44 +160,30 @@ func checkOptions(opt Options) error {
 	return nil
 }
 
-// AnalyzeAll evaluates every named design point.
-func AnalyzeAll(opt Options) []Analysis {
-	ds := microarch.AllDesigns()
-	out := make([]Analysis, len(ds))
-	for i, d := range ds {
-		out[i] = Analyze(d, opt)
-	}
-	return out
-}
-
-// AnalyzeAllCtx evaluates every named design point under a context, fanning
-// the designs out across opt.Workers goroutines (index-order merge keeps the
-// output order and content identical for every worker count): on
-// cancellation it returns the contiguous prefix of analyses completed so
-// far with Truncated set.
-func AnalyzeAllCtx(ctx context.Context, opt Options) ([]Analysis, simrun.Status, error) {
+// AnalyzeDesigns evaluates designs in order, after validating the options
+// once. Each analysis is checked for NaN. The context is polled before every
+// design after the first: on cancellation or deadline it returns the
+// analyses completed so far with Status.Truncated set.
+func AnalyzeDesigns(ctx context.Context, designs []microarch.Design, opt Options) ([]Analysis, simrun.Status, error) {
 	if err := checkOptions(opt); err != nil {
 		return nil, simrun.Status{}, err
 	}
-	ds := microarch.AllDesigns()
-	out, status, err := simrun.RunSharded(ctx, len(ds), 0,
-		simrun.Options{CheckEvery: 1, ShardSize: 1, Workers: opt.Workers, Progress: opt.Progress},
-		func(t *simrun.ShardTask) ([]Analysis, int, error) {
-			part := make([]Analysis, 0, t.N)
-			for i := 0; t.Continue(i); i++ {
-				d := ds[t.GlobalShot(i)]
-				_, span := obs.StartSpan(t.Context(), "design.analyze",
-					obs.String("design", d.Name))
-				part = append(part, Analyze(d, opt))
-				span.End()
-			}
-			return part, -1, nil
-		},
-		func(dst *[]Analysis, src []Analysis) { *dst = append(*dst, src...) })
+	if len(designs) == 0 {
+		return nil, simrun.Status{}, simerr.Invalidf("scalability: no designs to analyze")
+	}
+	g, err := simrun.NewGuard(ctx, len(designs), simrun.Options{CheckEvery: 1})
 	if err != nil {
 		return nil, simrun.Status{}, err
 	}
-	return out, status, nil
+	out := make([]Analysis, 0, len(designs))
+	for i := 0; g.Continue(i); i++ {
+		a := Analyze(designs[i], opt)
+		if err := checkSound(a); err != nil {
+			return nil, simrun.Status{}, err
+		}
+		out = append(out, a)
+	}
+	return out, g.Status(len(out)), nil
 }
 
 // CurvePoint is one sample of a Fig. 12/13/17-style sweep.
@@ -210,31 +198,20 @@ type CurvePoint struct {
 	Feasible     bool    `json:"feasible"`
 }
 
-// Sweep samples a design across qubit counts, producing the data behind the
-// scalability figures.
-func Sweep(d microarch.Design, qubitCounts []int, opt Options) []CurvePoint {
-	res, err := SweepCtx(context.Background(), d, qubitCounts, opt)
-	if err != nil {
-		panic(err) // legacy boundary: preserves the seed API's contract
-	}
-	return res.Points
-}
-
-// SweepResult is the context-aware sweep outcome: Points holds the curve
-// samples completed before cancellation (all of them when Status.Truncated
-// is false).
+// SweepResult is a qubit-count sweep: Points holds the curve samples
+// completed before cancellation (all of them when Status.Truncated is
+// false).
 type SweepResult struct {
 	Design string        `json:"design"`
 	Points []CurvePoint  `json:"points"`
 	Status simrun.Status `json:"status"`
 }
 
-// SweepCtx is the context-aware qubit-count sweep, fanned out across
-// opt.Workers goroutines on the sharded engine (one point per shard,
-// index-order merge — output identical for every worker count): on
-// cancellation it returns the contiguous prefix of points computed so far,
-// flagged Truncated, so an interrupted design-space exploration keeps the
-// samples it already paid for.
+// SweepCtx samples a design across qubit counts, producing the data behind
+// the scalability figures. The context is polled as AnalyzeDesigns polls
+// it: on cancellation it returns the points computed so far, flagged
+// Truncated, so an interrupted design-space exploration keeps the samples
+// it already paid for.
 func SweepCtx(ctx context.Context, d microarch.Design, qubitCounts []int, opt Options) (SweepResult, error) {
 	if err := checkOptions(opt); err != nil {
 		return SweepResult{}, err
@@ -247,41 +224,31 @@ func SweepCtx(ctx context.Context, d microarch.Design, qubitCounts []int, opt Op
 			return SweepResult{}, simerr.Invalidf("scalability: qubit count must be positive, got %d", n)
 		}
 	}
+	g, err := simrun.NewGuard(ctx, len(qubitCounts), simrun.Options{CheckEvery: 1})
+	if err != nil {
+		return SweepResult{}, err
+	}
 	pb := d.PerQubitPower()
 	pl := d.LogicalError(0)
 	perPatch := float64(surface.PhysicalQubitsPerPatch(opt.Distance))
-	points, status, gerr := simrun.RunSharded(ctx, len(qubitCounts), 0,
-		simrun.Options{CheckEvery: 1, ShardSize: 1, Workers: opt.Workers, Progress: opt.Progress},
-		func(t *simrun.ShardTask) ([]CurvePoint, int, error) {
-			part := make([]CurvePoint, 0, t.N)
-			for i := 0; t.Continue(i); i++ {
-				n := qubitCounts[t.GlobalShot(i)]
-				_, span := obs.StartSpan(t.Context(), "sweep.point", obs.Int("qubits", n))
-				cp := CurvePoint{Qubits: n, Utilization: map[wiring.Stage]float64{}, LogicalError: pl}
-				cp.Feasible = true
-				for st, budget := range opt.Budgets {
-					u := pb.StageW[st] * float64(n) / budget
-					cp.Utilization[st] = u
-					if u > 1 {
-						cp.Feasible = false
-					}
-				}
-				nLogical := float64(n) / perPatch
-				cp.Target = opt.Targets.Target(nLogical)
-				if pl > cp.Target {
-					cp.Feasible = false
-				}
-				span.SetAttr(obs.Bool("feasible", cp.Feasible))
-				span.End()
-				part = append(part, cp)
+	points := make([]CurvePoint, 0, len(qubitCounts))
+	for i := 0; g.Continue(i); i++ {
+		n := qubitCounts[i]
+		cp := CurvePoint{Qubits: n, Utilization: map[wiring.Stage]float64{}, LogicalError: pl, Feasible: true}
+		for st, budget := range opt.Budgets {
+			u := pb.StageW[st] * float64(n) / budget
+			cp.Utilization[st] = u
+			if u > 1 {
+				cp.Feasible = false
 			}
-			return part, -1, nil
-		},
-		func(dst *[]CurvePoint, src []CurvePoint) { *dst = append(*dst, src...) })
-	if gerr != nil {
-		return SweepResult{}, gerr
+		}
+		cp.Target = opt.Targets.Target(float64(n) / perPatch)
+		if pl > cp.Target {
+			cp.Feasible = false
+		}
+		points = append(points, cp)
 	}
-	return SweepResult{Design: d.Name, Points: points, Status: status}, nil
+	return SweepResult{Design: d.Name, Points: points, Status: g.Status(len(points))}, nil
 }
 
 // Table renders a set of analyses as an aligned text table.

@@ -1,17 +1,36 @@
 package scalability
 
 import (
+	"context"
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"qisim/internal/microarch"
+	"qisim/internal/simerr"
+	"qisim/internal/simrun"
 	"qisim/internal/wiring"
 )
 
+// analyzeAll analyzes every named design with the default options.
+func analyzeAll(t *testing.T) []Analysis {
+	t.Helper()
+	as, st, err := AnalyzeDesigns(context.Background(), microarch.AllDesigns(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Truncated {
+		t.Fatalf("uncancelled analysis truncated: %+v", st)
+	}
+	return as
+}
+
 func analyzeByName(t *testing.T, name string) Analysis {
 	t.Helper()
-	for _, a := range AnalyzeAll(DefaultOptions()) {
+	for _, a := range analyzeAll(t) {
 		if a.Design.Name == name {
 			return a
 		}
@@ -115,7 +134,11 @@ func TestOptimizationOrderingMonotone(t *testing.T) {
 func TestSweepCurveShape(t *testing.T) {
 	d := microarch.CMOS4KBaseline()
 	ns := []int{100, 300, 654, 1000, 20000}
-	pts := Sweep(d, ns, DefaultOptions())
+	res, err := SweepCtx(context.Background(), d, ns, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := res.Points
 	if len(pts) != len(ns) {
 		t.Fatal("sweep length mismatch")
 	}
@@ -136,7 +159,7 @@ func TestSweepCurveShape(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
-	as := AnalyzeAll(DefaultOptions())
+	as := analyzeAll(t)
 	s := Table(as)
 	for _, name := range []string{"300K-coax", "ERSFQ-opt8", "binding"} {
 		if !strings.Contains(s, name) {
@@ -146,7 +169,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestSortByMax(t *testing.T) {
-	as := AnalyzeAll(DefaultOptions())
+	as := analyzeAll(t)
 	SortByMax(as)
 	for i := 1; i < len(as); i++ {
 		if as[i].MaxQubits > as[i-1].MaxQubits {
@@ -193,7 +216,7 @@ func TestHolisticOrderingStory(t *testing.T) {
 }
 
 func TestExportJSON(t *testing.T) {
-	as := AnalyzeAll(DefaultOptions())
+	as := analyzeAll(t)
 	var buf strings.Builder
 	if err := WriteJSON(&buf, as); err != nil {
 		t.Fatal(err)
@@ -207,5 +230,104 @@ func TestExportJSON(t *testing.T) {
 	// No infinities may leak into the JSON.
 	if strings.Contains(s, "Inf") || strings.Contains(s, "inf") {
 		t.Fatal("infinity leaked into JSON export")
+	}
+}
+
+// TestSweepAndAnalyzeComplete: an uncancelled sweep and an all-designs
+// analysis return every point, untruncated, and a second run returns the
+// same values.
+func TestSweepAndAnalyzeComplete(t *testing.T) {
+	ctx := context.Background()
+	counts := []int{100, 500, 1000, 2000, 5000, 10000, 20000, 50000, 100000, 200000, 500000}
+	sweep := func() SweepResult {
+		res, err := SweepCtx(ctx, microarch.CMOS4KOpt12(), counts, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := sweep()
+	want := simrun.Status{Requested: len(counts), Completed: len(counts), StopReason: simrun.StopCompleted}
+	if len(first.Points) != len(counts) || first.Status != want {
+		t.Fatalf("sweep returned %d of %d points, status %+v", len(first.Points), len(counts), first.Status)
+	}
+	for i, p := range first.Points {
+		if p.Qubits != counts[i] {
+			t.Fatalf("point %d is for %d qubits, want %d", i, p.Qubits, counts[i])
+		}
+	}
+	if again := sweep(); !reflect.DeepEqual(again, first) {
+		t.Errorf("second sweep differs:\nfirst:  %+v\nsecond: %+v", first, again)
+	}
+
+	ds := microarch.AllDesigns()
+	all, st, err := AnalyzeDesigns(ctx, ds, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = simrun.Status{Requested: len(ds), Completed: len(ds), StopReason: simrun.StopCompleted}
+	if len(all) != len(ds) || st != want {
+		t.Fatalf("analysis returned %d of %d designs, status %+v", len(all), len(ds), st)
+	}
+	for i, a := range all {
+		if a.Design.Name != ds[i].Name {
+			t.Fatalf("analysis %d is of %s, want %s", i, a.Design.Name, ds[i].Name)
+		}
+	}
+	if again := analyzeAll(t); !reflect.DeepEqual(again, all) {
+		t.Error("second all-designs analysis differs from the first")
+	}
+}
+
+// TestAnalyzeDesignsStopReasons: the context is polled before every design
+// after the first, and an expired deadline is told apart from a cancel.
+func TestAnalyzeDesignsStopReasons(t *testing.T) {
+	ds := microarch.AllDesigns()[:3]
+	expired, cancelDeadline := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelDeadline()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name   string
+		ctx    context.Context
+		reason string
+	}{
+		{"deadline", expired, simrun.StopDeadline},
+		{"canceled", canceled, simrun.StopCanceled},
+	} {
+		as, st, err := AnalyzeDesigns(c.ctx, ds, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := simrun.Status{Requested: len(ds), Completed: 1, Truncated: true, StopReason: c.reason}
+		if st != want || len(as) != 1 || as[0].Design.Name != ds[0].Name {
+			t.Errorf("%s: status %+v with %d analyses, want %+v with 1", c.name, st, len(as), want)
+		}
+		res, err := SweepCtx(c.ctx, ds[0], []int{10, 100, 1000}, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s sweep: %v", c.name, err)
+		}
+		if res.Status.StopReason != c.reason || !res.Status.Truncated || len(res.Points) != 1 {
+			t.Errorf("%s sweep: status %+v with %d points", c.name, res.Status, len(res.Points))
+		}
+	}
+}
+
+func TestAnalyzeDesignsRejects(t *testing.T) {
+	even := DefaultOptions()
+	even.Distance = 4
+	noBudget := DefaultOptions()
+	noBudget.Budgets = nil
+	for name, c := range map[string]struct {
+		designs []microarch.Design
+		opt     Options
+	}{
+		"even distance": {microarch.AllDesigns(), even},
+		"no budgets":    {microarch.AllDesigns(), noBudget},
+		"no designs":    {nil, DefaultOptions()},
+	} {
+		if _, _, err := AnalyzeDesigns(context.Background(), c.designs, c.opt); !errors.Is(err, simerr.ErrInvalidConfig) {
+			t.Errorf("%s: err %v, want invalid config", name, err)
+		}
 	}
 }

@@ -68,7 +68,7 @@ func normalizeDSEPoint(raw json.RawMessage) (dsePointParams, microarch.Design, e
 	if p.Design == "" {
 		return p, microarch.Design{}, simerr.Invalidf("service: dse.point needs a design name")
 	}
-	d, ok := findDesign(p.Design)
+	d, ok := microarch.DesignByName(p.Design)
 	if !ok {
 		return p, microarch.Design{}, simerr.Invalidf("service: unknown design %q", p.Design)
 	}
@@ -211,7 +211,7 @@ func normalizeDSESweep(raw json.RawMessage) (dseSweepParams, dse.Grid, error) {
 				if !ok {
 					return p, zero, simerr.Invalidf("service: design axis values must be strings, got %v", v)
 				}
-				if _, ok := findDesign(name); !ok {
+				if _, ok := microarch.DesignByName(name); !ok {
 					return p, zero, simerr.Invalidf("service: unknown design %q", name)
 				}
 			}
@@ -324,7 +324,7 @@ func buildDSESweep(raw json.RawMessage, env buildEnv) (jobs.Kind, rescache.Key, 
 func sweepBound(pp dseSweepParams) dse.BoundFn {
 	return func(pt dse.Point) map[string]float64 {
 		cp := pointParamsFor(pt, pp)
-		d, ok := findDesign(cp.Design)
+		d, ok := microarch.DesignByName(cp.Design)
 		if !ok {
 			return nil // validated at normalize; nil never prunes via StrictlyDominates
 		}

@@ -34,7 +34,7 @@ func TestDSEPointEndpoint(t *testing.T) {
 	}
 	opt := scalability.DefaultOptions()
 	opt.Distance = 23
-	d, _ := findDesign("ERSFQ-opt8")
+	d, _ := microarch.DesignByName("ERSFQ-opt8")
 	want, err := scalability.AnalyzePointChecked(d, 1e-5, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -107,6 +107,9 @@ func TestBuildJobRejects(t *testing.T) {
 		"no qubit counts": {Kind: "scalability.sweep", Params: json.RawMessage(`{"design":"4K-CMOS-baseline"}`)},
 		"missing qasm":    {Kind: "pauli.mc", Params: json.RawMessage(`{}`)},
 		"bad arch":        {Kind: "pauli.mc", Params: json.RawMessage(`{"qasm":"OPENQASM 2.0;","arch":"gaas"}`)},
+		// The analytic kinds run as plain loops: no worker count to set.
+		"analyze workers": {Kind: "scalability.analyze", Params: json.RawMessage(`{"workers":2}`)},
+		"sweep workers":   {Kind: "scalability.sweep", Params: json.RawMessage(`{"design":"4K-CMOS-baseline","qubit_counts":[1],"workers":2}`)},
 	} {
 		if _, _, _, err := buildJob(req, buildEnv{}); err == nil {
 			t.Errorf("%s: buildJob accepted a bad request", name)

@@ -561,7 +561,6 @@ type scalabilityAnalyzeParams struct {
 	Designs  []string `json:"designs"`
 	Distance int      `json:"distance"`
 	Extended bool     `json:"extended"`
-	Workers  int      `json:"workers,omitempty"`
 }
 
 func scalabilityOptions(distance int, extended bool) scalability.Options {
@@ -581,10 +580,13 @@ func buildScalabilityAnalyze(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs
 	if p.Distance == 0 {
 		p.Distance = 23
 	}
+	var designs []microarch.Design // nil: every design
 	for _, name := range p.Designs {
-		if _, ok := findDesign(name); !ok {
+		d, ok := microarch.DesignByName(name)
+		if !ok {
 			return "", "", nil, simerr.Invalidf("service: unknown design %q", name)
 		}
+		designs = append(designs, d)
 	}
 	// Analyses are deterministic and seedless: seed 0 / shard 0 in the key.
 	key, keyed, err := requestKey(jobs.KindScalabilityAnalyze, p, 0, 0)
@@ -592,35 +594,16 @@ func buildScalabilityAnalyze(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs
 		return "", "", nil, err
 	}
 	pp := p
-	run := func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
-		opt := scalabilityOptions(pp.Distance, pp.Extended)
-		opt.Workers = pp.Workers
-		opt.Progress = progress
-		var as []scalability.Analysis
-		var status simrun.Status
-		if len(pp.Designs) == 0 {
-			var err error
-			as, status, err = scalability.AnalyzeAllCtx(ctx, opt)
-			if err != nil {
-				return nil, simrun.Status{}, err
-			}
-		} else {
-			status = simrun.Status{Requested: len(pp.Designs), StopReason: simrun.StopCompleted}
-			for i, name := range pp.Designs {
-				if cerr := ctx.Err(); cerr != nil {
-					status.Truncated = true
-					status.StopReason = simrun.StopCanceled
-					break
-				}
-				d, _ := findDesign(name)
-				a, err := scalability.AnalyzeChecked(d, opt)
-				if err != nil {
-					return nil, simrun.Status{}, err
-				}
-				as = append(as, a)
-				status.Completed = i + 1
-				progress(i+1, len(pp.Designs))
-			}
+	// A microsecond analytic job reports no live progress: the job's final
+	// status supersedes it at once.
+	run := func(ctx context.Context, _ func(int, int)) ([]byte, simrun.Status, error) {
+		ds := designs
+		if ds == nil {
+			ds = microarch.AllDesigns()
+		}
+		as, status, err := scalability.AnalyzeDesigns(ctx, ds, scalabilityOptions(pp.Distance, pp.Extended))
+		if err != nil {
+			return nil, simrun.Status{}, err
 		}
 		exported := make([]scalability.ExportedAnalysis, len(as))
 		for i, a := range as {
@@ -643,7 +626,6 @@ type scalabilitySweepParams struct {
 	QubitCounts []int  `json:"qubit_counts"`
 	Distance    int    `json:"distance"`
 	Extended    bool   `json:"extended"`
-	Workers     int    `json:"workers,omitempty"`
 }
 
 func buildScalabilitySweep(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs.Runner, error) {
@@ -657,7 +639,7 @@ func buildScalabilitySweep(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs.R
 	if p.Design == "" {
 		return "", "", nil, simerr.Invalidf("service: scalability.sweep needs a design name")
 	}
-	d, ok := findDesign(p.Design)
+	d, ok := microarch.DesignByName(p.Design)
 	if !ok {
 		return "", "", nil, simerr.Invalidf("service: unknown design %q", p.Design)
 	}
@@ -674,11 +656,8 @@ func buildScalabilitySweep(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs.R
 		return "", "", nil, err
 	}
 	pp := p
-	run := func(ctx context.Context, progress func(int, int)) ([]byte, simrun.Status, error) {
-		opt := scalabilityOptions(pp.Distance, pp.Extended)
-		opt.Workers = pp.Workers
-		opt.Progress = progress
-		res, err := scalability.SweepCtx(ctx, d, pp.QubitCounts, opt)
+	run := func(ctx context.Context, _ func(int, int)) ([]byte, simrun.Status, error) {
+		res, err := scalability.SweepCtx(ctx, d, pp.QubitCounts, scalabilityOptions(pp.Distance, pp.Extended))
 		if err != nil {
 			return nil, simrun.Status{}, err
 		}
@@ -686,15 +665,6 @@ func buildScalabilitySweep(raw json.RawMessage) (jobs.Kind, rescache.Key, jobs.R
 		return body, res.Status, err
 	}
 	return jobs.KindScalabilitySweep, key, run, nil
-}
-
-func findDesign(name string) (microarch.Design, bool) {
-	for _, d := range microarch.AllDesigns() {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return microarch.Design{}, false
 }
 
 func f64(v float64) *float64 { return &v }

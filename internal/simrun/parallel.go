@@ -134,12 +134,6 @@ func (t *ShardTask) Continue(i int) bool {
 // Interrupted reports whether the shard loop was cut short by cancellation.
 func (t *ShardTask) Interrupted() bool { return t.interrupted }
 
-// Context returns the shard's context: it carries the engine's cancellation
-// signal plus — when tracing is enabled — the shard's span, so a ShardFunc
-// can open child spans with obs.StartSpan (the scalability sweep opens one
-// per design point). The context must not outlive the ShardFunc invocation.
-func (t *ShardTask) Context() context.Context { return t.ctx }
-
 // GlobalShot maps a local loop index to the run-global shot index.
 func (t *ShardTask) GlobalShot(i int) int { return t.Start + i }
 

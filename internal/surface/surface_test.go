@@ -1,8 +1,11 @@
 package surface
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"qisim/internal/simrun"
 )
 
 func TestPatchCounts(t *testing.T) {
@@ -149,12 +152,12 @@ func TestDecoderDistanceProperty(t *testing.T) {
 
 func TestMonteCarloSubThresholdScaling(t *testing.T) {
 	// Below threshold, larger distance wins and error grows with p.
-	p3 := MonteCarloLogicalError(3, 0.01, 40000, 1).Rate()
-	p5 := MonteCarloLogicalError(5, 0.01, 40000, 2).Rate()
+	p3 := mcLogical(t, 3, 0.01, 40000, 1).Rate()
+	p5 := mcLogical(t, 5, 0.01, 40000, 2).Rate()
 	if p5 >= p3 {
 		t.Fatalf("d=5 (%.4g) should beat d=3 (%.4g) below threshold", p5, p3)
 	}
-	q3 := MonteCarloLogicalError(3, 0.03, 40000, 3).Rate()
+	q3 := mcLogical(t, 3, 0.03, 40000, 3).Rate()
 	if q3 <= p3 {
 		t.Fatalf("logical error must grow with p: %.4g at 3%% vs %.4g at 1%%", q3, p3)
 	}
@@ -163,8 +166,8 @@ func TestMonteCarloSubThresholdScaling(t *testing.T) {
 func TestMonteCarloExponentRoughlyMatchesProjection(t *testing.T) {
 	// The code-capacity MC should scale near (p)^((d+1)/2): for d=3 the
 	// log-log slope between p=0.01 and p=0.04 should be ~2.
-	lo := MonteCarloLogicalError(3, 0.01, 120000, 4).Rate()
-	hi := MonteCarloLogicalError(3, 0.04, 120000, 5).Rate()
+	lo := mcLogical(t, 3, 0.01, 120000, 4).Rate()
+	hi := mcLogical(t, 3, 0.04, 120000, 5).Rate()
 	slope := math.Log(hi/lo) / math.Log(4.0)
 	if slope < 1.4 || slope > 2.6 {
 		t.Fatalf("d=3 scaling exponent %.2f, want ~2", slope)
@@ -304,7 +307,11 @@ func TestThresholdEstimateBand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("MC threshold probe")
 	}
-	th := ThresholdEstimate(3, 3000, 7)
+	res, err := ThresholdEstimateCtx(context.Background(), 3, 3000, 7, simrun.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := res.Estimate
 	// Code-capacity matching thresholds sit near 10%.
 	if th < 0.04 || th > 0.2 {
 		t.Fatalf("decoder threshold %.3f outside the plausible band", th)

@@ -14,15 +14,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"qisim/internal/compile"
 	"qisim/internal/cyclesim"
-	"qisim/internal/microarch"
 	"qisim/internal/pauli"
 	"qisim/internal/readout"
-	"qisim/internal/scalability"
 	"qisim/internal/simrun"
 	"qisim/internal/surface"
 	"qisim/internal/workloads"
@@ -163,49 +160,6 @@ func TestReadoutEquivalence(t *testing.T) {
 		}
 		if par != tSerial {
 			t.Errorf("trajectory workers=%d diverges:\nserial:   %+v\nparallel: %+v", w, tSerial, par)
-		}
-	}
-}
-
-func TestScalabilitySweepEquivalence(t *testing.T) {
-	ctx := context.Background()
-	counts := []int{100, 500, 1000, 2000, 5000, 10000, 20000, 50000, 100000, 200000, 500000}
-	run := func(w int) scalability.SweepResult {
-		opt := scalability.DefaultOptions()
-		opt.Workers = w
-		res, err := scalability.SweepCtx(ctx, microarch.CMOS4KOpt12(), counts, opt)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		return res
-	}
-	serial := run(1)
-	if len(serial.Points) != len(counts) {
-		t.Fatalf("serial sweep returned %d points, want %d", len(serial.Points), len(counts))
-	}
-	for _, w := range workerCounts {
-		par := run(w)
-		if !reflect.DeepEqual(par, serial) {
-			t.Errorf("workers=%d sweep diverges from serial:\nserial:   %+v\nparallel: %+v", w, serial, par)
-		}
-	}
-
-	serialAll, serialStatus, err := scalability.AnalyzeAllCtx(ctx, scalability.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serialStatus.Truncated {
-		t.Fatal("uncancelled AnalyzeAllCtx reported truncation")
-	}
-	for _, w := range workerCounts {
-		opt := scalability.DefaultOptions()
-		opt.Workers = w
-		parAll, _, err := scalability.AnalyzeAllCtx(ctx, opt)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(parAll, serialAll) {
-			t.Errorf("workers=%d analyze-all diverges from serial", w)
 		}
 	}
 }
