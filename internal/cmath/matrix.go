@@ -117,42 +117,25 @@ func Mul(a, b *Matrix) *Matrix {
 	return c
 }
 
-// mulBlockJ is the column-tile width of the blocked MulInto kernel: 64
-// complex128 values keep one tile of a b-row (1 KiB) plus the matching
-// dst-row tile resident in L1 while the k-loop streams over them. Blocking
-// is over i and j only — each dst element still accumulates its k-terms in
-// ascending order, so the blocked kernel is bit-identical to the naive
-// triple loop (see kernel_equiv_test.go).
-const mulBlockJ = 64
-
 // MulInto computes dst = a·b, reusing dst's storage. dst must not alias a or
-// b. The kernel is cache-blocked over output columns; the floating-point
-// accumulation order per element (ascending k) is the same as the naive
-// product, so results are bit-identical to Mul for any blocking.
+// b. Each output element sums its k-terms in ascending order into an
+// accumulator that starts at +0; zero entries of a are skipped, which drops
+// only exact ±0 terms, so results equal the textbook triple loop bit for bit
+// (see kernel_equiv_test.go).
 func MulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("cmath: MulInto shape mismatch")
 	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
 	bc := b.Cols
-	for jj := 0; jj < bc; jj += mulBlockJ {
-		jhi := jj + mulBlockJ
-		if jhi > bc {
-			jhi = bc
-		}
-		for i := 0; i < a.Rows; i++ {
-			arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-			crow := dst.Data[i*bc+jj : i*bc+jhi]
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b.Data[k*bc+jj : k*bc+jhi]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
+	for i := 0; i < a.Rows; i++ {
+		crow := dst.Data[i*bc : (i+1)*bc]
+		clear(crow)
+		for k, av := range a.Data[i*a.Cols : (i+1)*a.Cols] {
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b.Data[k*bc : (k+1)*bc] {
+				crow[j] += av * bv
 			}
 		}
 	}
@@ -235,45 +218,6 @@ func (m *Matrix) FrobeniusNorm() float64 {
 	return math.Sqrt(s)
 }
 
-// Expm returns the matrix exponential exp(m) computed by scaling-and-squaring
-// with a truncated Taylor series. The series order is chosen so the truncation
-// error is far below the physical noise floors the simulators care about.
-func Expm(m *Matrix) *Matrix {
-	if !m.IsSquare() {
-		panic("cmath: Expm of non-square matrix")
-	}
-	norm := m.OneNorm()
-	// Scale so the scaled norm is <= 0.5, then square back up.
-	s := 0
-	if norm > 0.5 {
-		s = int(math.Ceil(math.Log2(norm / 0.5)))
-	}
-	scaled := Scale(complex(1/math.Pow(2, float64(s)), 0), m)
-
-	// Taylor series: with norm <= 0.5, 18 terms give ~1e-17 truncation error.
-	result := Identity(m.Rows)
-	term := Identity(m.Rows)
-	tmp := NewMatrix(m.Rows, m.Cols)
-	for k := 1; k <= 18; k++ {
-		MulInto(tmp, term, scaled)
-		term, tmp = tmp, term
-		invK := complex(1/float64(k), 0)
-		for i := range term.Data {
-			term.Data[i] *= invK
-		}
-		for i := range result.Data {
-			result.Data[i] += term.Data[i]
-		}
-	}
-	// Square s times.
-	sq := NewMatrix(m.Rows, m.Cols)
-	for i := 0; i < s; i++ {
-		MulInto(sq, result, result)
-		result, sq = sq, result
-	}
-	return result
-}
-
 // ApplyKron computes (a⊗b)·v without materializing the Kronecker product.
 // len(v) must equal a.Cols*b.Cols; the result has length a.Rows*b.Rows.
 // Each output element accumulates its column terms in the same ascending
@@ -314,76 +258,6 @@ func ApplyKronInto(dst []complex128, a, b *Matrix, v []complex128) {
 			}
 			dst[i*b.Rows+k] = s
 		}
-	}
-}
-
-// ExpmWorkspace holds the scratch matrices Expm needs so repeated
-// exponentials of same-sized matrices (time-stepped Hamiltonian evolution)
-// allocate nothing after the first call. The zero value is ready to use.
-type ExpmWorkspace struct {
-	scaled, result, term, tmp *Matrix
-}
-
-func (w *ExpmWorkspace) ensure(n int) {
-	if w.scaled == nil || w.scaled.Rows != n {
-		w.scaled = NewMatrix(n, n)
-		w.result = NewMatrix(n, n)
-		w.term = NewMatrix(n, n)
-		w.tmp = NewMatrix(n, n)
-	}
-}
-
-// ExpmInto computes dst = exp(m) using the workspace's scratch buffers. The
-// operation sequence replays Expm exactly, so the result is bit-identical to
-// the allocating path. dst may alias m; it must not be a workspace buffer.
-func (w *ExpmWorkspace) ExpmInto(dst, m *Matrix) {
-	if !m.IsSquare() {
-		panic("cmath: Expm of non-square matrix")
-	}
-	if dst.Rows != m.Rows || dst.Cols != m.Cols {
-		panic("cmath: ExpmInto shape mismatch")
-	}
-	n := m.Rows
-	w.ensure(n)
-
-	norm := m.OneNorm()
-	s := 0
-	if norm > 0.5 {
-		s = int(math.Ceil(math.Log2(norm / 0.5)))
-	}
-	inv := complex(1/math.Pow(2, float64(s)), 0)
-	for i, v := range m.Data {
-		w.scaled.Data[i] = inv * v
-	}
-
-	result, term, tmp := w.result, w.term, w.tmp
-	setIdentity(result)
-	setIdentity(term)
-	for k := 1; k <= 18; k++ {
-		MulInto(tmp, term, w.scaled)
-		term, tmp = tmp, term
-		invK := complex(1/float64(k), 0)
-		for i := range term.Data {
-			term.Data[i] *= invK
-		}
-		for i := range result.Data {
-			result.Data[i] += term.Data[i]
-		}
-	}
-	sq := tmp
-	for i := 0; i < s; i++ {
-		MulInto(sq, result, result)
-		result, sq = sq, result
-	}
-	copy(dst.Data, result.Data)
-}
-
-func setIdentity(m *Matrix) {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		m.Data[i*m.Cols+i] = 1
 	}
 }
 

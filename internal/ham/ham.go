@@ -15,6 +15,7 @@ package ham
 
 import (
 	"math"
+	"slices"
 
 	"qisim/internal/cmath"
 )
@@ -46,34 +47,30 @@ func Evolve(h TimeDependent, total, dt float64) *cmath.Matrix {
 }
 
 // EvolveSamples evolves under a piecewise-constant Hamiltonian defined by one
-// matrix per digital sample of duration ts each.
+// matrix per digital sample of duration ts each (see EvolveSamplesInto).
 func EvolveSamples(hs []*cmath.Matrix, ts float64) *cmath.Matrix {
 	if len(hs) == 0 {
 		panic("ham: EvolveSamples requires at least one sample")
 	}
-	u := cmath.Identity(hs[0].Rows)
-	for _, hk := range hs {
-		uk := cmath.Expm(cmath.Scale(complex(0, -ts), hk))
-		u = cmath.Mul(uk, u)
-	}
+	var w EvolveWorkspace
+	u := cmath.NewMatrix(hs[0].Rows, hs[0].Rows)
+	w.EvolveSamplesInto(u, hs, ts)
 	return u
 }
 
 // EvolveWorkspace holds the scratch matrices repeated sample-evolutions
 // need, so calibration searches (which re-run EvolveSamples hundreds of
 // times on same-sized systems) allocate nothing after warm-up. The zero
-// value is ready to use. The operation sequence of EvolveSamplesInto
-// replays EvolveSamples exactly, so results are bit-identical.
+// value is ready to use.
 type EvolveWorkspace struct {
-	gen, uk, u, tmp *cmath.Matrix
-	hs              []*cmath.Matrix
-	expw            cmath.ExpmWorkspace
+	gen, u, tmp *cmath.Matrix
+	hs          []*cmath.Matrix
+	expw        cmath.ExpmWorkspace
 }
 
 func (w *EvolveWorkspace) ensure(n int) {
 	if w.gen == nil || w.gen.Rows != n {
 		w.gen = cmath.NewMatrix(n, n)
-		w.uk = cmath.NewMatrix(n, n)
 		w.u = cmath.NewMatrix(n, n)
 		w.tmp = cmath.NewMatrix(n, n)
 	}
@@ -92,8 +89,11 @@ func (w *EvolveWorkspace) HamiltonianBuffer(n, dim int) []*cmath.Matrix {
 	return w.hs
 }
 
-// EvolveSamplesInto computes the same propagator as EvolveSamples into dst,
-// reusing the workspace's scratch. dst must not be one of the hs samples.
+// EvolveSamplesInto computes U = exp(-i·ts·H_n)···exp(-i·ts·H_1) for the
+// samples hs = H_1..H_n into dst, reusing the workspace's scratch. dst must
+// not be one of the hs samples. A sample whose entries are == to the previous
+// sample's reuses that step's propagator: flat-top holds and unit steps
+// repeat samples, and a ±0-only difference yields the same propagator bits.
 func (w *EvolveWorkspace) EvolveSamplesInto(dst *cmath.Matrix, hs []*cmath.Matrix, ts float64) {
 	if len(hs) == 0 {
 		panic("ham: EvolveSamples requires at least one sample")
@@ -101,19 +101,21 @@ func (w *EvolveWorkspace) EvolveSamplesInto(dst *cmath.Matrix, hs []*cmath.Matri
 	n := hs[0].Rows
 	w.ensure(n)
 	u, tmp := w.u, w.tmp
-	for i := range u.Data {
-		u.Data[i] = 0
-	}
+	clear(u.Data)
 	for i := 0; i < n; i++ {
 		u.Data[i*n+i] = 1
 	}
 	s := complex(0, -ts)
+	var prev []complex128
 	for _, hk := range hs {
-		for i, v := range hk.Data {
-			w.gen.Data[i] = s * v
+		if !slices.Equal(hk.Data, prev) {
+			for i, v := range hk.Data {
+				w.gen.Data[i] = s * v
+			}
+			w.expw.ExpmInto(w.gen, w.gen)
+			prev = hk.Data
 		}
-		w.expw.ExpmInto(w.uk, w.gen)
-		cmath.MulInto(tmp, w.uk, u)
+		w.expw.MulExpInto(tmp, u)
 		u, tmp = tmp, u
 	}
 	copy(dst.Data, u.Data)
