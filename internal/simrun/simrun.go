@@ -196,13 +196,15 @@ type Status struct {
 }
 
 // Err converts a truncated status into a typed ErrInterrupted (nil
-// otherwise) — for callers that prefer error control flow over flags.
+// otherwise) — for callers that prefer error control flow over flags. The
+// message names no unit: guarded loops count shots, design points or sweep
+// steps.
 func (s Status) Err() error {
 	if !s.Truncated {
 		return nil
 	}
-	return simerr.Interruptedf("simrun: run truncated after %d/%d shots (%s)",
-		s.Completed, s.Requested, s.StopReason)
+	return simerr.Interruptedf("simrun: run truncated (%s) with %d of %d done",
+		s.StopReason, s.Completed, s.Requested)
 }
 
 // Guard gates a shot loop on budget, cancellation and convergence. Use:

@@ -50,6 +50,16 @@ func TestGuardCancellationYieldsPartial(t *testing.T) {
 	}
 }
 
+func TestStatusErrMessageNamesNoUnit(t *testing.T) {
+	// Guarded loops count shots, design points or sweep steps, so the
+	// message must not claim a unit.
+	st := Status{Requested: 3, Completed: 1, Truncated: true, StopReason: StopDeadline}
+	want := "simrun: run truncated (deadline) with 1 of 3 done: interrupted"
+	if err := st.Err(); err == nil || err.Error() != want {
+		t.Fatalf("Err() = %v, want %q", err, want)
+	}
+}
+
 func TestGuardConvergenceEarlyExit(t *testing.T) {
 	g, err := NewGuard(nil, 1_000_000, Options{TargetRelStdErr: 0.05, MinShots: 2000, CheckEvery: 100})
 	if err != nil {
