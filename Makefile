@@ -106,18 +106,19 @@ race-dse:
 	$(GO) test -race -count=2 -run 'TestDSE' .
 
 # Regenerate BENCH_baseline.json: $(BENCHCOUNT) timed samples of every
-# benchmark in the repo, aggregated to per-unit min/mean/max, recorded so a
-# future change can diff hot-path cost against the baseline. Commit the
-# refreshed file together with the change that moved it.
+# benchmark in the repo (ns/op, B/op and allocs/op), aggregated to per-unit
+# min/mean/max, recorded so a future change can diff hot-path cost against
+# the baseline. Record it on the host that runs bench-compare, and commit
+# the refreshed file together with the change that moved it.
 bench-baseline:
-	$(GO) test -bench . -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -run '^$$' ./... | python3 scripts/bench_baseline.py > BENCH_baseline.json
+	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -run '^$$' ./... | python3 scripts/bench_baseline.py > BENCH_baseline.json
 
 # Run the benchmarks now and diff against the committed BENCH_baseline.json.
 # Exits non-zero when any benchmark regresses beyond its FAIL threshold
 # (see scripts/bench_compare.py for the per-benchmark bands); small drift
 # warns without failing. This is the perf gate CI runs on every change.
 bench-compare:
-	$(GO) test -bench . -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -run '^$$' ./... | python3 scripts/bench_baseline.py > /tmp/bench_current.json
+	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -run '^$$' ./... | python3 scripts/bench_baseline.py > /tmp/bench_current.json
 	python3 scripts/bench_compare.py BENCH_baseline.json /tmp/bench_current.json
 
 # Record a span trace of a parallel Monte-Carlo decoder run and leave the

@@ -4,7 +4,7 @@
 Run the benchmarks with repetition so the snapshot carries real statistics,
 e.g.:
 
-    go test -bench . -benchtime 100ms -count 3 -run '^$' ./... \
+    go test -bench . -benchmem -benchtime 100ms -count 3 -run '^$' ./... \
         | python3 scripts/bench_baseline.py > BENCH_baseline.json
 
 Every `BenchmarkName-P  N  T ns/op [extra unit]...` line becomes one sample;

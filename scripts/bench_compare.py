@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare a fresh benchmark snapshot against a committed baseline.
 
-    go test -bench . -benchtime 100ms -count 3 -run '^$' ./... \
+    go test -bench . -benchmem -benchtime 100ms -count 3 -run '^$' ./... \
         | python3 scripts/bench_baseline.py > /tmp/bench_current.json
     python3 scripts/bench_compare.py BENCH_baseline.json /tmp/bench_current.json
 
